@@ -11,10 +11,12 @@
 //!   router's bookkeeping (health check, chunk plan, ordered concat)
 //!   on top of the plain `DaemonClient` lock-step path.
 //! * `fleet_x3_1536` — a `FleetClient` over THREE daemons, 1536-record
-//!   batches split into three contiguous 512-record chunks. The router
-//!   is synchronous — chunks go out one at a time — so on a 1-core
-//!   host this measures routing + protocol overhead, not scale-out;
-//!   real speedup needs multi-core (or the pipelined feeder shape).
+//!   batches split into three contiguous 512-record chunks. All three
+//!   chunks are in flight at once, so a batch costs the slowest node's
+//!   round trip rather than the sum; on a 1-core host the nodes still
+//!   share one core, so there this measures routing + protocol
+//!   overhead, not scale-out. The node timeout bounds every connect,
+//!   write and read.
 //!
 //! Replication scenarios (standalone `FleetNode`, 4 MiB payload):
 //!

@@ -11,7 +11,7 @@
 //! verdicts for its admitted batches.
 
 use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use detect::hybrid::HybridVerdict;
@@ -39,13 +39,33 @@ impl DaemonClient {
     ///
     /// [`DaemonError::Io`] when the connection cannot be established.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, DaemonError> {
-        let stream = TcpStream::connect(addr)?;
+        Ok(Self::from_stream(TcpStream::connect(addr)?))
+    }
+
+    /// Connects to a daemon's ingest address with every socket wait
+    /// bounded by `timeout`: the connect itself, each write and each
+    /// read. A black-holed node then fails in `timeout` instead of the
+    /// kernel's SYN retries, and a peer that stops reading cannot block
+    /// a send forever.
+    ///
+    /// # Errors
+    ///
+    /// [`DaemonError::Io`] when the connection cannot be established in
+    /// time or the socket rejects the timeouts (e.g. a zero `timeout`).
+    pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> Result<Self, DaemonError> {
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(Self::from_stream(stream))
+    }
+
+    fn from_stream(stream: TcpStream) -> Self {
         let _ = stream.set_nodelay(true);
-        Ok(DaemonClient {
+        DaemonClient {
             stream,
             next_req_id: 1,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-        })
+        }
     }
 
     /// Bounds how long [`DaemonClient::recv_response`] waits for bytes
@@ -86,13 +106,7 @@ impl DaemonClient {
         records: &[ConnectionRecord],
     ) -> Result<Vec<HybridVerdict>, DaemonError> {
         let req_id = self.send_score_batch(tenant, records)?;
-        match self.recv_matching(req_id)? {
-            VerdictPayload::Hybrid(v) => Ok(v),
-            VerdictPayload::Stream(_) => Err(DaemonError::UnexpectedFrame {
-                expected: "hybrid verdicts",
-                found: protocol::FrameType::Verdicts.to_wire(),
-            }),
-        }
+        self.recv_score(req_id)
     }
 
     /// Scores **and observes** one batch (folds it into the tenant's
@@ -108,13 +122,7 @@ impl DaemonClient {
         records: &[ConnectionRecord],
     ) -> Result<Vec<StreamVerdict>, DaemonError> {
         let req_id = self.send_observe_batch(tenant, records)?;
-        match self.recv_matching(req_id)? {
-            VerdictPayload::Stream(v) => Ok(v),
-            VerdictPayload::Hybrid(_) => Err(DaemonError::UnexpectedFrame {
-                expected: "stream verdicts",
-                found: protocol::FrameType::Verdicts.to_wire(),
-            }),
-        }
+        self.recv_observe(req_id)
     }
 
     /// Sends a score batch without waiting; returns its `req_id` for
@@ -122,7 +130,9 @@ impl DaemonClient {
     ///
     /// # Errors
     ///
-    /// Encoding or I/O errors.
+    /// [`DaemonError::FrameTooLarge`] when the encoded batch exceeds the
+    /// client's frame cap — raised before a byte is written, so the
+    /// connection stays usable; other encoding or I/O errors.
     pub fn send_score_batch(
         &mut self,
         tenant: &str,
@@ -135,7 +145,7 @@ impl DaemonClient {
     ///
     /// # Errors
     ///
-    /// Encoding or I/O errors.
+    /// As [`DaemonClient::send_score_batch`].
     pub fn send_observe_batch(
         &mut self,
         tenant: &str,
@@ -158,6 +168,15 @@ impl DaemonClient {
             tenant: tenant.to_string(),
             records: records.to_vec(),
         }))?;
+        // The daemon would answer an oversized frame with a closing
+        // `TooLarge` reject; refusing it here keeps the connection.
+        let declared = frame.len().saturating_sub(HEADER_LEN);
+        if declared > self.max_frame_len {
+            return Err(DaemonError::FrameTooLarge {
+                declared,
+                max: self.max_frame_len,
+            });
+        }
         self.stream.write_all(&frame)?;
         Ok(req_id)
     }
@@ -184,6 +203,28 @@ impl DaemonClient {
         let mut payload = vec![0u8; header.payload_len];
         recv_exact(&mut self.stream, &mut payload)?;
         protocol::decode_response(header.frame_type, &payload)
+    }
+
+    /// Receives the hybrid verdicts answering score request `req_id`.
+    pub(crate) fn recv_score(&mut self, req_id: u64) -> Result<Vec<HybridVerdict>, DaemonError> {
+        match self.recv_matching(req_id)? {
+            VerdictPayload::Hybrid(v) => Ok(v),
+            VerdictPayload::Stream(_) => Err(DaemonError::UnexpectedFrame {
+                expected: "hybrid verdicts",
+                found: protocol::FrameType::Verdicts.to_wire(),
+            }),
+        }
+    }
+
+    /// Receives the stream verdicts answering observe request `req_id`.
+    pub(crate) fn recv_observe(&mut self, req_id: u64) -> Result<Vec<StreamVerdict>, DaemonError> {
+        match self.recv_matching(req_id)? {
+            VerdictPayload::Stream(v) => Ok(v),
+            VerdictPayload::Hybrid(_) => Err(DaemonError::UnexpectedFrame {
+                expected: "stream verdicts",
+                found: protocol::FrameType::Verdicts.to_wire(),
+            }),
+        }
     }
 
     /// Receives the next response and insists it answers `req_id` with
@@ -234,4 +275,22 @@ fn recv_exact(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), DaemonError>
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connect_timeout_bounds_reads_and_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // Whole seconds: the kernel stores socket timeouts in jiffies
+        // and reads them back rounded to one.
+        let timeout = Duration::from_secs(3);
+        let client =
+            DaemonClient::connect_timeout(listener.local_addr().unwrap(), timeout).unwrap();
+        assert_eq!(client.stream.read_timeout().unwrap(), Some(timeout));
+        assert_eq!(client.stream.write_timeout().unwrap(), Some(timeout));
+    }
 }

@@ -111,7 +111,9 @@ pub enum DaemonError {
     ReservedNonZero,
     /// The frame declares a payload longer than the configured cap —
     /// rejected before any payload byte is read, so a hostile declared
-    /// length can never force an allocation.
+    /// length can never force an allocation. The client raises it too,
+    /// for a batch it refuses to send: before a byte is written, so its
+    /// connection stays usable.
     FrameTooLarge {
         /// Declared payload length.
         declared: usize,

@@ -9,14 +9,20 @@
 //! the routed verdicts are bit-identical to a single engine scoring the
 //! whole batch — regardless of how many nodes served it.
 //!
+//! A score call is a scatter/gather: every chunk is written to its
+//! primary node before any answer is read, so the nodes score at the
+//! same time and a batch costs the slowest node's round trip instead
+//! of the sum of all of them. Answers are read back in chunk order.
+//!
 //! Failure semantics are typed and bounded:
 //!
 //! - **Score** batches are idempotent (they touch no baseline), so a
-//!   chunk whose node fails is retried on the other healthy nodes —
-//!   each chunk tries each node at most once per call. Chunks no node
-//!   could serve come back as [`FleetError::Partial`] naming the exact
-//!   record ranges, never as a silent gap and never as a hang (every
-//!   socket wears a read timeout).
+//!   chunk whose primary fails is retried, after the gather, on the
+//!   other healthy nodes one at a time — each chunk tries each node at
+//!   most once per call. Chunks no node could serve come back as
+//!   [`FleetError::Partial`] naming the exact record ranges, never as a
+//!   silent gap and never as a hang: the node timeout bounds every
+//!   connect, write and read.
 //! - **Observe** batches mutate the target node's adaptive baseline,
 //!   so they are routed whole to one node (round-robin) and **never**
 //!   retried — a retry after an ambiguous failure could double-count
@@ -26,6 +32,9 @@
 //!   retried until a backoff window passes ([`FleetClient::with_backoff`]);
 //!   protocol-level rejects (e.g. `UnknownTenant` mid-rolling-deploy)
 //!   fail over without tarring the node as down.
+//! - A batch whose chunk would not fit in one frame is refused by the
+//!   client before a byte is written: [`FleetError::FrameTooLarge`],
+//!   with no node marked down and every connection still usable.
 //!
 //! Fleet-wide baselines reduce through `StreamState::merge_all` over
 //! the per-node states fetched from each daemon's GHSF endpoint — the
@@ -47,7 +56,8 @@ use crate::error::{DaemonError, RejectCode};
 /// `ShardedEngine`'s per-thread floor, one level up.
 pub const FLEET_MIN_CHUNK: usize = 64;
 
-/// Default per-node socket read timeout: the "never a hang" bound.
+/// Default per-node bound on each connect, write and read: the "never
+/// a hang" bound.
 pub const DEFAULT_NODE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Default down-node backoff: how long a transport-failed node sits out
@@ -134,6 +144,16 @@ pub enum FleetError {
     /// The per-node baselines failed to merge (inconsistent or
     /// non-finite state — see `StreamState::merge`).
     Merge(DetectError),
+    /// The batch (for a score, one of its chunks) encodes to a frame
+    /// above the client's frame cap. It was refused before a byte was
+    /// written, so no node was marked down and every connection stays
+    /// usable; split the batch and resend.
+    FrameTooLarge {
+        /// Payload bytes the refused frame would have declared.
+        declared: usize,
+        /// The frame cap it exceeds.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for FleetError {
@@ -167,6 +187,10 @@ impl std::fmt::Display for FleetError {
                 write!(f, "node {node} sent an invalid baseline state: {reason}")
             }
             FleetError::Merge(e) => write!(f, "fleet baseline merge failed: {e}"),
+            FleetError::FrameTooLarge { declared, max } => write!(
+                f,
+                "batch refused before sending: a {declared}-byte frame exceeds the {max}-byte cap"
+            ),
         }
     }
 }
@@ -245,7 +269,7 @@ impl FleetClient {
         self
     }
 
-    /// Overrides the per-node read timeout.
+    /// Overrides the per-node bound on each connect, write and read.
     #[must_use]
     pub fn with_node_timeout(mut self, timeout: Duration) -> Self {
         self.node_timeout = timeout;
@@ -269,14 +293,16 @@ impl FleetClient {
     }
 
     /// Scores a batch across the fleet: contiguous chunks over the
-    /// healthy nodes, verdicts concatenated in record order —
-    /// bit-identical to one engine scoring the whole batch.
+    /// healthy nodes, all in flight at once, verdicts concatenated in
+    /// record order — bit-identical to one engine scoring the whole
+    /// batch.
     ///
     /// # Errors
     ///
     /// [`FleetError::AllNodesDown`] when nothing was served;
     /// [`FleetError::Partial`] naming the unserved ranges when only
-    /// some chunks found a node.
+    /// some chunks found a node; [`FleetError::FrameTooLarge`] when a
+    /// chunk does not fit in one frame.
     pub fn score(
         &mut self,
         tenant: &str,
@@ -296,42 +322,53 @@ impl FleetClient {
             .step_by(chunk)
             .map(|start| (start, (start + chunk).min(records.len())))
             .collect();
+        // Attempt `a` at chunk `k` goes to healthy node `(k + a) % n`:
+        // attempt 0 is the primary, and no chunk tries a node twice.
+        // There are at most `n` chunks, so the primaries are distinct
+        // and each connection carries at most one outstanding chunk.
+        let node = |k: usize, attempt: usize| {
+            healthy
+                .get((k + attempt) % healthy.len())
+                .copied()
+                .unwrap_or_default()
+        };
+        let slice = |(start, end): (usize, usize)| records.get(start..end).unwrap_or_default();
 
-        let mut verdicts: Vec<Option<Vec<HybridVerdict>>> = vec![None; ranges.len()];
-        let mut missing: Vec<(usize, usize)> = Vec::new();
-        let mut last_error = String::new();
-        for (k, &(start, end)) in ranges.iter().enumerate() {
-            let slice = records.get(start..end).unwrap_or_default();
-            // Primary node k % healthy, then (with failover) the rest —
-            // each node tried at most once per chunk.
-            let mut served = false;
-            let candidates = healthy.len();
-            let tried = if self.failover { candidates } else { 1 };
-            for attempt in 0..tried {
-                let Some(&slot_idx) = healthy.get((k + attempt) % candidates) else {
-                    continue;
-                };
-                match self.score_on(slot_idx, tenant, slice) {
-                    Ok(v) => {
-                        if let Some(cell) = verdicts.get_mut(k) {
-                            *cell = Some(v);
-                        }
-                        served = true;
+        // Scatter: every chunk is written to its primary before any
+        // answer is read, so the nodes score at the same time.
+        let mut sent = Vec::with_capacity(ranges.len());
+        for (k, &range) in ranges.iter().enumerate() {
+            sent.push(self.send(node(k, 0), tenant, slice(range)));
+        }
+        let mut failures = Failures::default();
+        let mut verdicts = Vec::with_capacity(ranges.len());
+        for (k, sent) in sent.into_iter().enumerate() {
+            verdicts.push(self.settle(node(k, 0), sent, &mut failures));
+        }
+        // Failover, one node at a time, for the chunks whose primary
+        // failed. A refused chunk would be refused everywhere.
+        if self.failover && failures.refused.is_none() {
+            for (k, (cell, &range)) in verdicts.iter_mut().zip(&ranges).enumerate() {
+                for attempt in 1..healthy.len() {
+                    if cell.is_some() {
                         break;
                     }
-                    Err(e) => {
-                        last_error = e.to_string();
-                        if transport_failure(&e) {
-                            self.mark_down(slot_idx);
-                        }
-                    }
+                    let idx = node(k, attempt);
+                    let sent = self.send(idx, tenant, slice(range));
+                    *cell = self.settle(idx, sent, &mut failures);
                 }
             }
-            if !served {
-                missing.push((start, end));
-            }
+        }
+        if let Some(refused) = failures.refused {
+            return Err(refused);
         }
 
+        let missing: Vec<(usize, usize)> = ranges
+            .iter()
+            .zip(&verdicts)
+            .filter(|(_, v)| v.is_none())
+            .map(|(&range, _)| range)
+            .collect();
         if missing.is_empty() {
             let mut out = Vec::with_capacity(records.len());
             for v in verdicts.into_iter().flatten() {
@@ -348,7 +385,7 @@ impl FleetClient {
         Err(FleetError::Partial {
             total: records.len(),
             missing,
-            detail: last_error,
+            detail: failures.last,
         })
     }
 
@@ -361,7 +398,8 @@ impl FleetClient {
     ///
     /// [`FleetError::AllNodesDown`] when no node is eligible;
     /// [`FleetError::Node`] naming the node that took (and failed) the
-    /// batch.
+    /// batch; [`FleetError::FrameTooLarge`] when the batch does not fit
+    /// in one frame.
     pub fn observe(
         &mut self,
         tenant: &str,
@@ -385,15 +423,24 @@ impl FleetClient {
             .get(slot_idx)
             .map(|s| s.endpoint.ingest)
             .unwrap_or(([0, 0, 0, 0], 0).into());
-        match self.observe_on(slot_idx, tenant, records) {
-            Ok(v) => Ok(v),
-            Err(source) => {
-                if transport_failure(&source) {
-                    self.mark_down(slot_idx);
-                }
-                Err(FleetError::Node { node, source })
+        let answer = match self
+            .conn(slot_idx)
+            .and_then(|conn| conn.send_observe_batch(tenant, records))
+        {
+            Ok(req_id) => self
+                .conn(slot_idx)
+                .and_then(|conn| conn.recv_observe(req_id)),
+            Err(DaemonError::FrameTooLarge { declared, max }) => {
+                return Err(FleetError::FrameTooLarge { declared, max })
             }
-        }
+            Err(e) => Err(e),
+        };
+        answer.map_err(|source| {
+            if transport_failure(&source) {
+                self.mark_down(slot_idx);
+            }
+            FleetError::Node { node, source }
+        })
     }
 
     /// Fetches every node's exported baseline for `tenant` over GHSF
@@ -464,52 +511,70 @@ impl FleetClient {
         }
     }
 
-    fn score_on(
+    /// Writes `records` to node `idx` as one score batch and returns
+    /// its `req_id`.
+    fn send(
         &mut self,
         idx: usize,
         tenant: &str,
         records: &[ConnectionRecord],
-    ) -> Result<Vec<HybridVerdict>, DaemonError> {
-        self.with_conn(idx, |conn| conn.score(tenant, records))
+    ) -> Result<u64, DaemonError> {
+        self.conn(idx)?.send_score_batch(tenant, records)
     }
 
-    fn observe_on(
+    /// Settles one attempt at a chunk on node `idx`: reads the answer to
+    /// a chunk that went out, or books why the attempt failed. A refusal
+    /// raised before the send wrote a byte is the batch's fault and
+    /// marks nothing down; a transport failure marks the node down.
+    fn settle(
         &mut self,
         idx: usize,
-        tenant: &str,
-        records: &[ConnectionRecord],
-    ) -> Result<Vec<StreamVerdict>, DaemonError> {
-        self.with_conn(idx, |conn| conn.observe(tenant, records))
+        sent: Result<u64, DaemonError>,
+        failures: &mut Failures,
+    ) -> Option<Vec<HybridVerdict>> {
+        let answer = match sent {
+            Ok(req_id) => self.conn(idx).and_then(|conn| conn.recv_score(req_id)),
+            Err(DaemonError::FrameTooLarge { declared, max }) => {
+                failures.refused = Some(FleetError::FrameTooLarge { declared, max });
+                return None;
+            }
+            Err(e) => Err(e),
+        };
+        match answer {
+            Ok(verdicts) => Some(verdicts),
+            Err(e) => {
+                if transport_failure(&e) {
+                    self.mark_down(idx);
+                }
+                failures.last = e.to_string();
+                None
+            }
+        }
     }
 
-    /// Runs `op` on the slot's connection, opening it (with the node
-    /// read timeout) if needed. A transport-level failure drops the
-    /// cached connection so the next attempt reconnects.
-    fn with_conn<T>(
-        &mut self,
-        idx: usize,
-        op: impl FnOnce(&mut DaemonClient) -> Result<T, DaemonError>,
-    ) -> Result<T, DaemonError> {
+    /// The slot's connection, opened on first use with the connect,
+    /// every write and every read bounded by the node timeout.
+    fn conn(&mut self, idx: usize) -> Result<&mut DaemonClient, DaemonError> {
         let timeout = self.node_timeout;
         let Some(slot) = self.slots.get_mut(idx) else {
             return Err(DaemonError::ShuttingDown);
         };
-        if slot.conn.is_none() {
-            let mut conn = DaemonClient::connect(slot.endpoint.ingest)?;
-            conn.set_read_timeout(Some(timeout))?;
-            slot.conn = Some(conn);
-        }
-        let Some(conn) = slot.conn.as_mut() else {
-            return Err(DaemonError::ShuttingDown);
+        let conn = match slot.conn.take() {
+            Some(conn) => conn,
+            None => DaemonClient::connect_timeout(slot.endpoint.ingest, timeout)?,
         };
-        let result = op(conn);
-        if let Err(e) = &result {
-            if transport_failure(e) {
-                slot.conn = None;
-            }
-        }
-        result
+        Ok(slot.conn.insert(conn))
     }
+}
+
+/// What went wrong across the attempts of one `score` call.
+#[derive(Default)]
+struct Failures {
+    /// The last per-node error, reported as [`FleetError::Partial`]'s
+    /// detail.
+    last: String,
+    /// The client's refusal of an oversized chunk, if any.
+    refused: Option<FleetError>,
 }
 
 /// Whether an error means the node itself (or the pipe to it) is
