@@ -68,25 +68,37 @@ mod tests {
     use super::*;
 
     // One test exercises every case: the env var is process-global, so
-    // independent #[test] functions would race each other.
+    // independent #[test] functions would race each other. Each step also
+    // checks that `max_threads` follows the variable at runtime: only the
+    // hardware count may be cached, never the pin.
     #[test]
     fn pin_sets_and_restores_in_every_case() {
+        use mathkit::parallel::max_threads;
+
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pinned = |n: usize| n.min(hardware);
         std::env::remove_var("GHSOM_THREADS");
+        assert_eq!(max_threads(), hardware);
 
         // Unset before → unset after.
         {
             let _pin = PinnedThreads::single();
             assert_eq!(std::env::var("GHSOM_THREADS").unwrap(), "1");
+            assert_eq!(max_threads(), 1);
         }
         assert!(std::env::var("GHSOM_THREADS").is_err());
+        assert_eq!(max_threads(), hardware);
 
         // Pre-existing value → restored, not removed.
         std::env::set_var("GHSOM_THREADS", "5");
+        assert_eq!(max_threads(), pinned(5));
         {
             let _pin = PinnedThreads::new(2);
             assert_eq!(std::env::var("GHSOM_THREADS").unwrap(), "2");
+            assert_eq!(max_threads(), pinned(2));
         }
         assert_eq!(std::env::var("GHSOM_THREADS").unwrap(), "5");
+        assert_eq!(max_threads(), pinned(5));
 
         // Nested pins unwind in LIFO order.
         {
@@ -94,19 +106,25 @@ mod tests {
             {
                 let _inner = PinnedThreads::new(3);
                 assert_eq!(std::env::var("GHSOM_THREADS").unwrap(), "3");
+                assert_eq!(max_threads(), pinned(3));
             }
             assert_eq!(std::env::var("GHSOM_THREADS").unwrap(), "1");
+            assert_eq!(max_threads(), 1);
         }
         assert_eq!(std::env::var("GHSOM_THREADS").unwrap(), "5");
+        assert_eq!(max_threads(), pinned(5));
 
         // Restored across a panic.
         let caught = std::panic::catch_unwind(|| {
             let _pin = PinnedThreads::new(7);
+            assert_eq!(max_threads(), pinned(7));
             panic!("boom");
         });
         assert!(caught.is_err());
         assert_eq!(std::env::var("GHSOM_THREADS").unwrap(), "5");
+        assert_eq!(max_threads(), pinned(5));
 
         std::env::remove_var("GHSOM_THREADS");
+        assert_eq!(max_threads(), hardware);
     }
 }

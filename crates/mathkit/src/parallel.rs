@@ -8,15 +8,25 @@
 //! thread count — including one. With the feature disabled the same chunked
 //! algorithm runs sequentially, producing the same bits.
 //!
-//! Thread count comes from `std::thread::available_parallelism`, clamped by
+//! Thread count comes from the machine's available parallelism, clamped by
 //! the `GHSOM_THREADS` environment variable when set (handy for
 //! single-thread baselines in benchmarks). An outer orchestration layer —
 //! the sharded serving plane — can additionally pin the *calling thread* to
 //! a fixed budget with [`with_thread_cap`], which takes precedence over the
 //! environment and keeps shard workers from spawning nested worker pools.
+//!
+//! The hardware count is read once per process, at the first call that
+//! needs it: `std::thread::available_parallelism` re-reads the affinity
+//! mask and the cgroup CPU-quota files on every call (seven `read`
+//! syscalls, ≈12–26 µs on a 2-vCPU container), and the serving walk makes
+//! about 22 helper calls per batch. `GHSOM_THREADS` and [`with_thread_cap`]
+//! are still read on each call, so pinning at runtime keeps working.
+//! Zero- and one-chunk calls cannot be split and work out no thread count
+//! at all.
 
 use std::cell::Cell;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Per-thread override consulted before the environment. `None` means
@@ -69,6 +79,13 @@ pub fn resolve_threads(raw: Option<&str>, hardware: usize) -> usize {
     }
 }
 
+/// The machine's available parallelism, read once per process (see the
+/// module doc for why): a container resized later keeps the first count.
+fn hardware_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// The number of worker threads parallel helpers may use on this thread.
 ///
 /// Resolution order: the calling thread's [`with_thread_cap`] override (if
@@ -77,8 +94,13 @@ pub fn resolve_threads(raw: Option<&str>, hardware: usize) -> usize {
 /// `0`, unset, or invalid values mean "auto" (all available cores); values
 /// above the core count are clamped down to it (see [`resolve_threads`] for
 /// the full policy).
+///
+/// The hardware count is read once per process, because std re-reads the
+/// affinity mask and the cgroup quota files on every call (see the module
+/// doc). The cap and `GHSOM_THREADS` are read on each call. Zero- and
+/// one-chunk helper calls do not call this at all.
 pub fn max_threads() -> usize {
-    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hardware = hardware_threads();
     if let Some(cap) = THREAD_CAP.with(|c| c.get()) {
         return cap.min(hardware).max(1);
     }
@@ -122,7 +144,8 @@ where
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
-    let workers = max_threads().min(n);
+    // Zero or one item cannot be split: skip the thread-count lookup.
+    let workers = if n <= 1 { n } else { max_threads().min(n) };
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
